@@ -15,6 +15,15 @@ Both paths build identical structures and evaluate identical pairs, so
 the quality numbers must agree exactly — the script verifies that — and
 the timing ratio isolates the engine's contribution.
 
+A ``dplus`` section then times the packed-label D+ kernel
+(:meth:`PackedLabels.dplus_many`) that every Thm 3.2 batch read goes
+through, on a dense case (the Thm 3.2 triangulation on a 2-d hypercube,
+n=600, δ=0.3, where every label holds nearly every node) and a sparse
+one (random order-64 labels over n=10⁴).  Each case times a fixed
+number of batches per trial, sized so the best trial's ``batches_s``
+stays above CI's 0.2 s gate floor, and reports the best trial (min of
+``trials``).  The dense case is checked against per-pair ``estimate``.
+
 Run directly (CI does, on every push):
 
     PYTHONPATH=src python benchmarks/bench_engine.py
@@ -36,6 +45,8 @@ from typing import Dict, List
 import numpy as np
 
 from repro.engine import UniformSamplePlan, evaluate_estimator
+from repro.labeling import RingTriangulation
+from repro.labeling._dplus import PackedLabels
 from repro.labeling.beacons import BeaconTriangulation
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.synthetic import random_hypercube_metric
@@ -64,6 +75,7 @@ def legacy_build(metric, beacon_ids) -> BeaconTriangulation:
         for j, b in enumerate(tri.beacons):
             labels[u, j] = tri.codec.roundtrip(float(row[b]))
     tri._labels = labels
+    tri._init_mutation_state()
     return tri
 
 
@@ -136,6 +148,63 @@ def run_size(n: int) -> Dict[str, object]:
     }
 
 
+# ----------------------------------------------------------------------
+# Packed-label D+ kernel
+# ----------------------------------------------------------------------
+
+DPLUS_TRIALS = 5
+
+
+def _dplus_case(packed, us, vs, batches: int, **info) -> Dict[str, object]:
+    """One D+ case: the best (min over trials) time of ``batches`` calls."""
+    seconds = float("inf")
+    for _ in range(DPLUS_TRIALS):
+        t0 = time.perf_counter()
+        for _ in range(batches):
+            packed.dplus_many(us, vs)
+        seconds = min(seconds, time.perf_counter() - t0)
+    return {
+        **info,
+        "pairs_per_batch": int(us.size),
+        "order_mean": packed.ids.size / packed.n,
+        "batches": batches,
+        "trials": DPLUS_TRIALS,
+        "batches_s": seconds,
+        "batch_ms": 1e3 * seconds / batches,
+        "pairs_per_sec": batches * us.size / seconds,
+    }
+
+
+def run_dplus() -> Dict[str, object]:
+    rng = ensure_rng(SEED)
+    metric = random_hypercube_metric(600, dim=2, seed=SEED)
+    tri = RingTriangulation(metric, 0.3)
+    us, vs = rng.integers(0, metric.n, (2, 256))
+    looped = [tri.estimate(int(u), int(v)) for u, v in zip(us, vs)]
+    if not np.array_equal(tri.estimate_many(us, vs), looped):
+        raise AssertionError("dense dplus_many disagrees with per-pair estimate")
+    dense = _dplus_case(
+        tri._packed_labels(), us, vs, 100,
+        workload="hypercube (euclidean, dim=2) n=600",
+        labels="Thm 3.2 triangulation delta=0.3",
+    )
+
+    n, order = 10_000, 64
+    ids = np.concatenate(
+        [np.sort(rng.choice(n, order, replace=False)) for _ in range(n)]
+    )
+    sparse_labels = PackedLabels.from_csr(
+        n, np.arange(n + 1) * order, ids, rng.random(ids.size)
+    )
+    us, vs = rng.integers(0, n, (2, 2048))
+    sparse = _dplus_case(
+        sparse_labels, us, vs, 40,
+        workload=f"synthetic n={n}",
+        labels=f"{order} random beacons per node",
+    )
+    return {"dense": dense, "sparse": sparse}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="1000,5000",
@@ -153,6 +222,7 @@ def main(argv=None) -> int:
         "description": "build + sampled stretch evaluation: "
                        "legacy per-pair path vs batched engine",
         "results": results,
+        "dplus": run_dplus(),
     }
     text = json.dumps(report, indent=2)
     print(text)

@@ -31,7 +31,7 @@ CSR bookkeeping, shared by the labeling and routing structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -243,10 +243,12 @@ class CSRPatch:
         self._ensure_index()
         lo = np.searchsorted(self._inv_keys, ids, side="left")
         hi = np.searchsorted(self._inv_keys, ids, side="right")
-        hits = [self._inv_rows[a:b] for a, b in zip(lo, hi) if b > a]
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(hits))
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        # Index-list positions of every hit: one arange shifted per id.
+        idx = np.repeat(lo - ends + counts, counts)
+        idx += np.arange(ends[-1], dtype=np.int64)
+        return np.unique(self._inv_rows[idx])
 
     # -- mutation -------------------------------------------------------
 
@@ -298,11 +300,11 @@ class CSRPatch:
         previously-merged ones — so repeated leave/rejoin cycles always
         reconverge to the same canonical block.
         """
-        mask = self.membership.active[self.pristine_keys]
-        cum = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
-        self.merged_indptr = cum[self.pristine_indptr]
-        self.merged_keys = self.pristine_keys[mask]
-        self.merged_payloads = tuple(p[mask] for p in self.pristine_payloads)
+        kept = np.flatnonzero(self.membership.active[self.pristine_keys])
+        # Row r starts after the kept entries that precede its pristine start.
+        self.merged_indptr = np.searchsorted(kept, self.pristine_indptr)
+        self.merged_keys = self.pristine_keys[kept]
+        self.merged_payloads = tuple(p[kept] for p in self.pristine_payloads)
         self._dirty[:] = False
         self.membership.commit()
 

@@ -247,24 +247,29 @@ class RingTriangulation:
             self._ivl_check(u, v, served)
         return served
 
+    def _packed_labels(self) -> PackedLabels:
+        """The merged CSR labels wrapped for batched D+ (built lazily,
+        dropped whenever a merge replaces the arrays)."""
+        if self._packed is None:
+            self._packed = PackedLabels.from_csr(
+                self.metric.n, self._indptr, self._ids, self._dist
+            )
+        return self._packed
+
     def estimate_many(self, us, vs) -> np.ndarray:
         """Batched D+ over the packed labels (0 on the diagonal).
 
         The CSR label arrays are handed to :class:`PackedLabels` without
-        any per-dict conversion, so a whole pair batch runs as chunked
-        broadcast intersections instead of per-pair dict walks.  With a
-        pending patch, clean-row pairs still take the packed fast path
-        (their merged rows are unaffected by the pending churn); pairs
-        touching a dirty row fall back to per-pair filtered estimates
-        with the IVL bound checked on each.
+        any per-dict conversion, so a whole pair batch runs as one
+        sort-free scatter/gather pass instead of per-pair dict walks.
+        With a pending patch, clean-row pairs still take the packed fast
+        path (their merged rows are unaffected by the pending churn);
+        pairs touching a dirty row fall back to per-pair filtered
+        estimates with the IVL bound checked on each.
         """
         patch = self._patch
         if patch is None:
-            if self._packed is None:
-                self._packed = PackedLabels.from_csr(
-                    self.metric.n, self._indptr, self._ids, self._dist
-                )
-            return self._packed.dplus_many(us, vs)
+            return self._packed_labels().dplus_many(us, vs)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         act = patch.membership.active
@@ -275,20 +280,12 @@ class RingTriangulation:
                 f"node(s) {nodes[~act[nodes]].tolist()} are not active"
             )
         if patch.is_clean():
-            if self._packed is None:
-                self._packed = PackedLabels.from_csr(
-                    self.metric.n, self._indptr, self._ids, self._dist
-                )
-            return self._packed.dplus_many(us, vs)
+            return self._packed_labels().dplus_many(us, vs)
         dirty = patch.rows_dirty(us) | patch.rows_dirty(vs)
         out = np.empty(us.shape, dtype=float)
         clean = ~dirty
         if np.any(clean):
-            if self._packed is None:
-                self._packed = PackedLabels.from_csr(
-                    self.metric.n, self._indptr, self._ids, self._dist
-                )
-            out[clean] = self._packed.dplus_many(us[clean], vs[clean])
+            out[clean] = self._packed_labels().dplus_many(us[clean], vs[clean])
         for i in np.flatnonzero(dirty):
             out[i] = self.estimate(int(us[i]), int(vs[i]))
         return out

@@ -178,6 +178,10 @@ def eps_mu_packing(
             candidates[key] = ball
             order.append(key)
 
+    # Scan by increasing radius (stable, so node order breaks ties): a
+    # larger ball taken first could block a smaller candidate whose own
+    # node then has no chosen ball within the Lemma 3.1 reach.
+    order.sort(key=lambda key: key[1])
     chosen: List[PackedBall] = []
     used: set[NodeId] = set()
     for key in order:

@@ -1,7 +1,7 @@
 """Property-based tests: r-nets and packings on random point sets."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import EuclideanMetric, eps_mu_packing, greedy_net
@@ -43,6 +43,14 @@ def test_nested_nets_nest(metric, levels):
 
 @settings(max_examples=20, deadline=None)
 @given(metrics(), st.sampled_from([1.0, 0.5, 0.25]))
+# Scanned in node order, node 2's ball {3, 4} blocked node 3's radius-0
+# candidate and left nodes 3 and 4 with reach 0.08 / 0.09 > 6 r_u = 0.06.
+@example(
+    EuclideanMetric(
+        np.array([0, 4, 71, 135, 136, 3, 2, 1], dtype=float)[:, None] * 0.01
+    ),
+    0.25,
+)
 def test_packing_guarantees(metric, eps):
     packing = eps_mu_packing(metric, eps)
     assert packing.verify_disjoint()
