@@ -1,26 +1,21 @@
-"""Perf + memory smoke for the packed ring backend — machine-readable JSON.
+"""Perf + memory smoke for the packed ring builders — machine-readable JSON.
 
-Builds the same ring structures twice — once on the CSR
-:class:`~repro.core.packed.PackedRings` backend (flat int32 member
-array + per-(node, level) offsets) and once on the legacy per-node
-``Dict[RingKey, Ring]`` representation — for the deterministic net
-builder and the §5 cardinality-sampled builder, verifies the two hold
-*identical* rings, and records build time, a query sweep (the
-``out_degree`` dedup over every node plus the max-cardinality scan),
-and resident bytes of each representation.
+Builds the CSR :class:`~repro.core.packed.PackedRings` structure (flat
+int32 member array + per-(node, level) offsets) with the deterministic
+net builder and the §5 cardinality-sampled builder, and records build
+time, a query sweep (the ``out_degree`` dedup over every node plus the
+max-cardinality scan) and the resident bytes of the packed arrays.
 
-The resident-bytes ratio is the headline: Python tuples-of-ints cost
-tens of bytes per ring member where the packed block costs four, which
-is what lets the Theorem 2.1/3.2/3.4 structures build at n = 10⁴ (see
-``repro run table1-large``).  CI asserts the ratio stays ≥ 5× at the
-largest size.
+Four bytes per ring member is what lets the Theorem 2.1/3.2/3.4
+structures build at n = 10⁴ (see ``repro run table1-large``); the
+``resident_bytes`` field tracks it, and ``check_perf.py`` gates the
+build and query timings.
 
 Run directly (CI does, on every push):
 
     PYTHONPATH=src python benchmarks/bench_rings.py
     PYTHONPATH=src python benchmarks/bench_rings.py \
-        --sizes 500,2000 --min-bytes-ratio 5 \
-        --out benchmarks/results/rings_perf.json
+        --sizes 500,2000 --out benchmarks/results/rings_perf.json
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ import time
 from typing import Any, Dict
 
 from repro.core.packed import PackedRings
-from repro.core.rings import RingsOfNeighbors, cardinality_rings, net_rings
+from repro.core.rings import cardinality_rings, net_rings
 from repro.metrics.nets import NestedNets
 from repro.metrics.synthetic import random_hypercube_metric
 
@@ -40,92 +35,33 @@ SEED = 13
 SAMPLES_PER_RING = 4
 
 
-def deep_bytes(obj, seen=None) -> int:
-    """Recursive ``sys.getsizeof`` over the legacy dict representation
-    (dicts, tuples, Ring dataclasses, ints, floats), deduplicated by id."""
-    if seen is None:
-        seen = set()
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        size += sum(
-            deep_bytes(k, seen) + deep_bytes(v, seen) for k, v in obj.items()
-        )
-    elif isinstance(obj, (tuple, list, set, frozenset)):
-        size += sum(deep_bytes(x, seen) for x in obj)
-    elif hasattr(obj, "__dict__"):
-        size += deep_bytes(vars(obj), seen)
-    return size
-
-
-def dict_resident_bytes(rings: RingsOfNeighbors) -> int:
-    """Bytes held by the legacy structure's ring dicts (metric excluded)."""
-    return deep_bytes(rings._rings)
-
-
-def _query_sweep(rings) -> int:
-    """The query side both backends must serve: the per-node neighbor
-    dedup (out_degree) over every node plus the max-cardinality scan.
-    Returns a checksum so the work cannot be optimized away."""
+def _query_sweep(rings: PackedRings) -> int:
+    """The per-node neighbor dedup (out_degree) over every node plus the
+    max-cardinality scan."""
     total = sum(rings.out_degree(u) for u in range(rings.metric.n))
     return total + rings.max_ring_cardinality()
 
 
-def _identical(packed: PackedRings, legacy: RingsOfNeighbors) -> bool:
-    n = packed.metric.n
-    for u in range(0, n, max(1, n // 64)):
-        if packed.rings_of(u).keys() != legacy.rings_of(u).keys():
-            return False
-        for key, ring in legacy.rings_of(u).items():
-            p = packed.ring(u, key)
-            if p.members != ring.members or p.radius != ring.radius:
-                return False
-    return True
-
-
 def bench_builder(name: str, make, metric) -> Dict[str, Any]:
     t0 = time.perf_counter()
-    packed = make("packed")
-    packed_build = time.perf_counter() - t0
+    packed = make()
+    build = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    legacy = make("dict")
-    dict_build = time.perf_counter() - t0
+    _query_sweep(packed)
+    query = time.perf_counter() - t0
 
-    if not _identical(packed, legacy):
-        raise AssertionError(f"{name}: packed and dict rings diverge")
-
-    t0 = time.perf_counter()
-    packed_checksum = _query_sweep(packed)
-    packed_query = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    dict_checksum = _query_sweep(legacy)
-    dict_query = time.perf_counter() - t0
-    if packed_checksum != dict_checksum:
-        raise AssertionError(f"{name}: query sweeps disagree")
-
-    packed_bytes = packed.resident_bytes()
-    dict_bytes = dict_resident_bytes(legacy)
     return {
         "builder": name,
         "n": metric.n,
         "rings": len(packed.keys) * metric.n,
         "members_total": int(packed.members.size),
         "max_ring_cardinality": packed.max_ring_cardinality(),
-        "identical": True,
         "packed": {
-            "build_s": round(packed_build, 4),
-            "query_s": round(packed_query, 4),
-            "resident_bytes": int(packed_bytes),
+            "build_s": round(build, 4),
+            "query_s": round(query, 4),
+            "resident_bytes": packed.resident_bytes(),
         },
-        "dict": {
-            "build_s": round(dict_build, 4),
-            "query_s": round(dict_query, 4),
-            "resident_bytes": int(dict_bytes),
-        },
-        "bytes_ratio": round(dict_bytes / max(1, packed_bytes), 2),
     }
 
 
@@ -136,23 +72,18 @@ def run_size(n: int) -> list:
         levels=metric.log_aspect_ratio() + 1,
         base_radius=metric.min_distance(),
     )
-    records = [
+    return [
         bench_builder(
             "net_rings",
-            lambda backend: net_rings(
-                metric, nets, lambda j: 2.0 * nets.radius_of(j), backend=backend
-            ),
+            lambda: net_rings(metric, nets, lambda j: 2.0 * nets.radius_of(j)),
             metric,
         ),
         bench_builder(
             "cardinality_rings",
-            lambda backend: cardinality_rings(
-                metric, SAMPLES_PER_RING, seed=SEED, backend=backend
-            ),
+            lambda: cardinality_rings(metric, SAMPLES_PER_RING, seed=SEED),
             metric,
         ),
     ]
-    return records
 
 
 def main(argv=None) -> int:
@@ -161,9 +92,6 @@ def main(argv=None) -> int:
                         help="comma-separated n values")
     parser.add_argument("--out", default=None,
                         help="also write the JSON report to this path")
-    parser.add_argument("--min-bytes-ratio", type=float, default=None,
-                        help="fail unless dict/packed resident bytes reaches "
-                             "this ratio for every builder at the largest n")
     args = parser.parse_args(argv)
 
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
@@ -172,8 +100,8 @@ def main(argv=None) -> int:
         results.extend(run_size(n))
     report = {
         "bench": "rings",
-        "description": "packed CSR vs legacy dict ring structures: "
-                       "build/query time and resident bytes",
+        "description": "packed CSR ring structures: build/query time and "
+                       "resident bytes",
         "seed": SEED,
         "results": results,
     }
@@ -186,20 +114,6 @@ def main(argv=None) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + "\n")
         print(f"wrote {out}")
-
-    if args.min_bytes_ratio is not None:
-        largest = max(sizes)
-        worst = min(
-            r["bytes_ratio"] for r in results if r["n"] == largest
-        )
-        if worst < args.min_bytes_ratio:
-            print(
-                f"FAIL: packed backend only {worst:.1f}x smaller than the "
-                f"dict representation at n={largest} "
-                f"(required {args.min_bytes_ratio}x)",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

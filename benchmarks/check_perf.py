@@ -10,11 +10,13 @@ reports into a scratch directory and this script compares every
 
 A numeric leaf counts as a timing when any segment of its JSON path
 ends in ``_s`` or contains ``second`` (``serial_s``, ``build_s``,
-``legacy_seconds.build``, …); counters and byte totals are ignored.
+``engine_seconds.build``, …); counters and byte totals are ignored.
 The gate fails when a timing slowed down by more than ``--max-ratio``
 (default 2×) *and* by more than ``--min-seconds`` absolute (default
 50 ms — sub-millisecond jitter on shared CI runners is not a
-regression).  Baselines are regenerated by re-running the bench with
+regression), and when a baseline timing is missing from the fresh
+report (a bench that stops recording a timing must not pass unseen).
+Baselines are regenerated by re-running the bench with
 ``--out benchmarks/results/<name>_perf.json`` and committing the diff.
 
 Baselines are absolute wall-clock numbers, so they encode the machine
@@ -25,7 +27,8 @@ artifact of a known-good run and committing it as the new baseline —
 or loosen ``--max-ratio``/``--min-seconds`` in the workflow for that
 runner class.
 
-Exit codes: 0 clean, 1 regression found, 2 usage/baseline errors.
+Exit codes: 0 clean, 1 regression or missing timing, 2 usage/baseline
+errors.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ def main(argv=None) -> int:
         return 2
 
     failures = 0
+    missing = 0
     compared = 0
     for fresh_file in fresh_files:
         base_file = baseline_dir / fresh_file.name
@@ -119,17 +123,18 @@ def main(argv=None) -> int:
             elif status == "ok":
                 compared += 1
             elif status == "missing-in-fresh":
-                print(f"warn {name}:{dotted} missing from fresh report")
+                missing += 1
+                print(f"FAIL {name}:{dotted} missing from fresh report")
             else:
                 print(f"note {name}:{dotted} new timing {new:.4f}s "
                       "(not in baseline)")
-    if compared == 0 and failures == 0:
+    if compared == 0 and failures == 0 and missing == 0:
         print("error: nothing compared — baselines out of sync with the "
               "fresh reports", file=sys.stderr)
         return 2
     print(f"perf gate: {compared} timings within {args.max_ratio}x of "
-          f"baseline, {failures} regression(s)")
-    return 1 if failures else 0
+          f"baseline, {missing} missing, {failures} regression(s)")
+    return 1 if failures or missing else 0
 
 
 if __name__ == "__main__":

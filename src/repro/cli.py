@@ -76,15 +76,6 @@ def _workload_from_args(args: argparse.Namespace):
     )
 
 
-def _build_metric(args: argparse.Namespace):
-    """Deprecated alias for the registry-driven workload builder.
-
-    Kept so scripts that imported the old helper keep working; prefer
-    ``repro.api.build_workload``.
-    """
-    return _workload_from_args(args).metric
-
-
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.api import DEFAULT_N
 

@@ -16,6 +16,7 @@ technique"):
   w.r.t. a doubling measure (the Y-type neighbors).
 
 This package provides those builders (:mod:`~repro.core.rings`), the
+CSR-packed structure they all return (:mod:`~repro.core.packed`), the
 zooming sequences that guide routing/identification
 (:mod:`~repro.core.zooming`), the host/virtual enumeration machinery that
 replaces global node ids with short local indices
@@ -25,13 +26,7 @@ routing on metrics (:mod:`~repro.core.overlay`).
 
 from repro.core.packed import PackedRings, exact_capped_rings
 from repro.core.patch import CSRPatch, InactiveNode, Membership, PatchStats
-from repro.core.rings import (
-    Ring,
-    RingsOfNeighbors,
-    cardinality_rings,
-    measure_rings,
-    net_rings,
-)
+from repro.core.rings import cardinality_rings, measure_rings, net_rings
 from repro.core.zooming import ZoomingSequence, net_zooming_sequence
 from repro.core.enumeration import Enumeration, TranslationFunction
 from repro.core.overlay import overlay_from_rings
@@ -42,8 +37,6 @@ __all__ = [
     "Membership",
     "PackedRings",
     "PatchStats",
-    "Ring",
-    "RingsOfNeighbors",
     "exact_capped_rings",
     "cardinality_rings",
     "measure_rings",

@@ -9,14 +9,13 @@ parameter to optimize (Table 2).
 
 from __future__ import annotations
 
-from repro.core.rings import AnyRings
+from repro.core.packed import PackedRings
 from repro.graphs.graph import WeightedGraph
 
 
-def overlay_from_rings(rings: AnyRings) -> WeightedGraph:
+def overlay_from_rings(rings: PackedRings) -> WeightedGraph:
     """Materialize the overlay graph: an edge u-v per ring pointer.
 
-    Accepts either ring backend (packed CSR or the legacy dict view).
     The overlay is undirected here (a virtual link can be traversed both
     ways once established); out-degrees reported in Table 2 reproductions
     use ``out_degree``, the directed pointer count.

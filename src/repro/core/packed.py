@@ -1,11 +1,7 @@
-"""CSR-packed rings of neighbors — the array backend for every builder.
+"""CSR-packed rings of neighbors — the one ring representation.
 
-A :class:`~repro.core.rings.RingsOfNeighbors` stores one Python ``Ring``
-object (an owner, a key, a radius and a member *tuple*) per (node, key)
-pair; at n = 10⁴ and K·log Δ rings per node that representation costs
-tens of bytes per member and caps the Theorem 2.1/3.2/3.4 structures
-around n ≈ 10³.  :class:`PackedRings` holds the same information in four
-flat arrays:
+Every builder in :mod:`repro.core.rings` returns a :class:`PackedRings`,
+which holds all rings of all nodes in four flat arrays:
 
 * ``members`` — every ring's members concatenated, **node-major** (all
   rings of node 0, then node 1, …), ``int32``;
@@ -15,12 +11,12 @@ flat arrays:
 * ``keys`` — the ring-key vocabulary shared by all nodes (scale indices
   for the deterministic builders, ``(i, j)`` tuples for Theorem 5.2(b)).
 
-The class exposes the full read API of ``RingsOfNeighbors`` (``ring``,
-``rings_of``, ``neighbors_of``, ``out_degree``, ``pointer_bits``, …), so
-existing call sites keep working; ``rings_of``/``ring`` materialize
-legacy :class:`~repro.core.rings.Ring` views lazily and nothing Θ(n·K)
-in Python objects is ever pinned.  Sample provenance (builder name,
-seed, samples-per-ring) rides along for the §5 sampled builders.
+Four bytes per member is what lets the Theorem 2.1/3.2/3.4 structures
+build at n = 10⁴.  Reads are array slices (``members_of``) and
+vectorized scans (``neighbors_of``, ``out_degree``, ``ring_sizes``);
+nothing Θ(n·K) in Python objects is ever built.  Sample provenance
+(builder name, seed, samples-per-ring) rides along for the §5 sampled
+builders.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._types import NodeId
-from repro.bits import SizeAccount, bits_for_count
+from repro.bits import SizeAccount
 from repro.metrics.base import MetricSpace
 
 __all__ = ["PackedRings", "exact_capped_rings", "pack_csr"]
@@ -63,7 +59,8 @@ class PackedRings:
     builders in :mod:`repro.core.rings` feed with per-ring member arrays
     in node-major order.  Ring keys are shared across nodes — every node
     has exactly one ring per key, matching what all the paper's builders
-    produce.
+    produce.  Arrays handed in directly (e.g. read back from a container)
+    are checked to form a valid CSR block over node ids ``[0, n)``.
     """
 
     def __init__(
@@ -79,17 +76,28 @@ class PackedRings:
         self.keys: Tuple[Any, ...] = tuple(keys)
         self.radii = np.asarray(radii, dtype=float)
         self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.members = np.asarray(members, dtype=np.int32)
+        n, K = metric.n, len(self.keys)
+        # Range-checked before the int32 cast, which would wrap large ids.
+        members = np.asarray(members)
+        if members.size and (members.min() < 0 or members.max() >= n):
+            raise ValueError(f"ring members must be node ids in [0, {n})")
+        self.members = members.astype(np.int32, copy=False)
         #: builder name + sampling parameters (the §5 builders record
         #: their seed and samples_per_ring here)
         self.provenance: Dict[str, Any] = dict(provenance or {})
-        n, K = metric.n, len(self.keys)
         if self.radii.shape != (n, K):
             raise ValueError(f"radii must be (n, K)=({n}, {K}), got {self.radii.shape}")
         if self.indptr.shape != (n * K + 1,):
             raise ValueError(
                 f"indptr must have n*K+1={n * K + 1} entries, got {self.indptr.shape}"
             )
+        if self.indptr[0] != 0 or self.indptr[-1] != self.members.size:
+            raise ValueError(
+                f"indptr must run from 0 to members.size={self.members.size}, "
+                f"got {int(self.indptr[0])}..{int(self.indptr[-1])}"
+            )
+        if np.any(np.diff(self.indptr) < 0):
+            raise ValueError("indptr must be non-decreasing")
         self._key_index: Dict[Any, int] = {k: i for i, k in enumerate(self.keys)}
 
     # -- construction ---------------------------------------------------
@@ -145,37 +153,6 @@ class PackedRings:
             return 0
         return int(np.diff(self.indptr).max())
 
-    # -- legacy (dict) view --------------------------------------------
-
-    def ring(self, u: NodeId, key: Any):
-        """The ring of ``u`` at ``key`` as a legacy :class:`Ring`, or None."""
-        from repro.core.rings import Ring
-
-        k = self._key_index.get(key)
-        if k is None:
-            return None
-        return Ring(
-            owner=u,
-            key=key,
-            radius=float(self.radii[u, k]),
-            members=tuple(int(x) for x in self._ring_slice(u, k)),
-        )
-
-    def rings_of(self, u: NodeId) -> Dict[Any, Any]:
-        """All rings of ``u`` as a key → :class:`Ring` dict (materialized
-        on the fly; the packed arrays stay the source of truth)."""
-        return {key: self.ring(u, key) for key in self.keys}
-
-    def to_rings_of_neighbors(self):
-        """Materialize the full legacy dict structure (tests/debugging)."""
-        from repro.core.rings import RingsOfNeighbors
-
-        legacy = RingsOfNeighbors(self.metric)
-        for u in range(self.n):
-            for key in self.keys:
-                legacy.add_ring(self.ring(u, key))
-        return legacy
-
     # -- neighbor queries ----------------------------------------------
 
     def _node_span(self, u: NodeId) -> np.ndarray:
@@ -185,7 +162,7 @@ class PackedRings:
 
     def neighbors_of(self, u: NodeId) -> List[NodeId]:
         """Distinct neighbors of ``u`` across rings (excluding u), in
-        first-occurrence order — exactly the legacy semantics."""
+        first-occurrence order."""
         span = self._node_span(u)
         span = span[span != u]
         if span.size == 0:
@@ -209,26 +186,7 @@ class PackedRings:
     def max_out_degree(self) -> int:
         return int(self.out_degrees().max()) if self.n else 0
 
-    # -- composition ----------------------------------------------------
-
-    def merged_with(self, other: "PackedRings") -> "PackedRings":
-        """A new packed structure holding both collections, with keys
-        prefixed ``("a", key)`` / ``("b", key)`` as in the legacy merge."""
-        if other.metric.n != self.metric.n:
-            raise ValueError("cannot merge rings over different metrics")
-        keys = [("a", k) for k in self.keys] + [("b", k) for k in other.keys]
-        radii = np.hstack([self.radii, other.radii])
-        chunks: List[np.ndarray] = []
-        for u in range(self.n):
-            for k in range(len(self.keys)):
-                chunks.append(self._ring_slice(u, k))
-            for k in range(len(other.keys)):
-                chunks.append(other._ring_slice(u, k))
-        provenance = {"builder": "merged", "a": self.provenance,
-                      "b": other.provenance}
-        return PackedRings.from_ring_chunks(
-            self.metric, keys, radii, chunks, provenance
-        )
+    # -- derived structures ---------------------------------------------
 
     def with_sorted_members(self) -> "PackedRings":
         """A copy whose per-ring member arrays are sorted ascending (host
@@ -257,15 +215,6 @@ class PackedRings:
         )
 
     # -- accounting -----------------------------------------------------
-
-    def pointer_bits(self, u: NodeId) -> SizeAccount:
-        """Bits to store u's neighbor pointers as global ids (the naive
-        encoding the paper improves on with local enumerations)."""
-        account = SizeAccount()
-        account.add(
-            "global_id_pointers", self.out_degree(u) * bits_for_count(self.n)
-        )
-        return account
 
     def storage_account(self) -> SizeAccount:
         """Exact resident storage of the packed arrays, from their widths."""

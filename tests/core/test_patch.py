@@ -160,8 +160,7 @@ class TestCSRPatch:
 class TestPackedRingsIntegration:
     def test_membership_patch_covers_ring_rows(self):
         metric = random_hypercube_metric(24, dim=2, seed=3)
-        rings = cardinality_rings(metric, samples_per_ring=3, seed=0,
-                                  backend="packed")
+        rings = cardinality_rings(metric, samples_per_ring=3, seed=0)
         assert isinstance(rings, PackedRings)
         patch = rings.membership_patch()
         assert patch.rows == rings.indptr.size - 1

@@ -23,7 +23,7 @@ def write(path, payload):
 
 BASE = {
     "results": [
-        {"n": 1000, "serial_s": 1.0, "legacy_seconds": {"build": 2.0},
+        {"n": 1000, "serial_s": 1.0, "engine_seconds": {"build": 2.0},
          "peak_resident_bytes": 123456}
     ]
 }
@@ -64,12 +64,22 @@ class TestCheckPerf:
 
     def test_nested_seconds_dict_gated(self, tmp_path):
         slow = json.loads(json.dumps(BASE))
-        slow["results"][0]["legacy_seconds"]["build"] = 10.0
+        slow["results"][0]["engine_seconds"]["build"] = 10.0
         write(tmp_path / "base" / "x_perf.json", BASE)
         write(tmp_path / "fresh" / "x_perf.json", slow)
         proc = run_gate(tmp_path / "base", tmp_path / "fresh")
         assert proc.returncode == 1
-        assert "legacy_seconds.build" in proc.stdout
+        assert "engine_seconds.build" in proc.stdout
+
+    def test_missing_timing_fails(self, tmp_path):
+        dropped = json.loads(json.dumps(BASE))
+        del dropped["results"][0]["engine_seconds"]
+        write(tmp_path / "base" / "x_perf.json", BASE)
+        write(tmp_path / "fresh" / "x_perf.json", dropped)
+        proc = run_gate(tmp_path / "base", tmp_path / "fresh")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "engine_seconds.build missing" in proc.stdout
+        assert "1 missing, 0 regression(s)" in proc.stdout
 
     def test_empty_fresh_dir_errors(self, tmp_path):
         write(tmp_path / "base" / "x_perf.json", BASE)

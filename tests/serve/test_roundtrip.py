@@ -11,7 +11,11 @@ from repro.serve import (
     load_structure,
     save_structure,
 )
-from repro.serve.container import ContainerError
+from repro.serve.container import (
+    ContainerError,
+    read_container,
+    write_container,
+)
 
 ESTIMATORS = ["triangulation", "beacons", "labels", "labels-tri", "tz-oracle"]
 ROUTERS = ["route-trivial", "route-thm2.1"]
@@ -135,6 +139,20 @@ class TestErrorPaths:
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerError, match="hash"):
             load_structure(path, verify=True)
+
+    def test_tampered_ring_indptr_rejected(self, tmp_path):
+        fitted = _build("route-thm2.1", "knn-graph", 48)
+        path = tmp_path / "structure.repro"
+        save_structure(fitted, path)
+        container = read_container(path, mmap=False)
+        arrays = dict(container.arrays)
+        indptr = arrays["ring_indptr"].copy()
+        indptr[1] = indptr[2] + 1  # node 0's second ring gets size -1
+        arrays["ring_indptr"] = indptr
+        tampered = tmp_path / "tampered.repro"
+        write_container(tampered, container.kind, container.meta, arrays)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            load_structure(tampered)
 
     def test_metric_container_is_not_a_scheme(self, tmp_path):
         from repro.metrics import random_hypercube_metric
